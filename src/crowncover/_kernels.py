@@ -1,39 +1,23 @@
 """Array kernels for the flow solver and geometric pair tests.
 
-The hot loops are compiled with numba when it is importable. Set
-CROWNCOVER_NO_NUMBA=1 to force the plain numpy/Python path instead; both
-paths run the identical algorithm and produce identical results. The
-undecorated implementations stay importable (``_dinic_impl``, ...) so tests
-and benchmarks can compare the two paths inside one process.
+`dinic` and `residual_reachable` are plain Python loops over numpy arrays.
+`disk_pairs` and `rect_pairs` are blocked numpy scans over integer columns:
+int64 columns, or object columns of exact Python ints when the magnitudes
+are too large for int64. Either way the pair tests are exact.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USING_NUMBA = os.environ.get("CROWNCOVER_NO_NUMBA", "") not in ("1", "true", "yes")
+# Read by perfbench's environment record; there is no compiled path.
+USING_NUMBA = False
 
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+# Rows per block of the pair scans; bounds the block's n-wide temporaries.
+BLOCK = 256
 
 
-def _dinic_impl(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source, sink):
+def dinic(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source, sink):
     # Residual arcs come in pairs: the partner of arc a is a ^ 1.
     # arc_cap is mutated in place and holds the residual capacities on return.
     level = np.empty(num_nodes, np.int64)
@@ -103,7 +87,7 @@ def _dinic_impl(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source, sink):
     return flow
 
 
-def _reachable_impl(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source):
+def residual_reachable(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source):
     # BFS over arcs with positive residual capacity.
     seen = np.zeros(num_nodes, np.bool_)
     queue = np.empty(num_nodes, np.int64)
@@ -124,100 +108,40 @@ def _reachable_impl(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source):
     return seen
 
 
-def _disk_pairs_impl(xs, ys, rs):
-    # Scaled integer coordinates; closed intersection (tangency counts).
-    # Two passes: count, then fill, in row-major (i, j) order.
-    n = xs.size
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            rr = rs[i] + rs[j]
-            if dx * dx + dy * dy <= rr * rr:
-                count += 1
-    us = np.empty(count, np.int64)
-    vs = np.empty(count, np.int64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            rr = rs[i] + rs[j]
-            if dx * dx + dy * dy <= rr * rr:
-                us[k] = i
-                vs[k] = j
-                k += 1
-    return us, vs
-
-
-def _rect_pairs_impl(x1, y1, x2, y2):
-    # Closed-interval overlap on both axes.
-    n = x1.size
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x1[i] <= x2[j] and x1[j] <= x2[i] and y1[i] <= y2[j] and y1[j] <= y2[i]:
-                count += 1
-    us = np.empty(count, np.int64)
-    vs = np.empty(count, np.int64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x1[i] <= x2[j] and x1[j] <= x2[i] and y1[i] <= y2[j] and y1[j] <= y2[i]:
-                us[k] = i
-                vs[k] = j
-                k += 1
-    return us, vs
-
-
-def _disk_pairs_numpy(xs, ys, rs, block=256):
-    # Vectorized fallback; emits pairs in the same row-major order as the loop.
-    n = xs.size
+def _block_scan(n, block_hits):
+    # Pairs i < j with block_hits(lo, hi)[i - lo, j] true, in row-major order.
+    # block_hits(lo, hi) returns the boolean rows lo..hi-1 against all n columns.
+    idx = np.arange(n, dtype=np.int64)
     cols_u = []
     cols_v = []
-    idx = np.arange(n, dtype=np.int64)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        hit = block_hits(lo, hi)
+        hit &= idx[None, :] > idx[lo:hi, None]
+        ii, jj = np.nonzero(hit)
+        cols_u.append(ii + lo)
+        cols_v.append(jj)
+    if not cols_u:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.concatenate(cols_u), np.concatenate(cols_v)
+
+
+def disk_pairs(xs, ys, rs):
+    # Scaled integer coordinates; closed intersection (tangency counts).
+    def block_hits(lo, hi):
         dx = xs[lo:hi, None] - xs[None, :]
         dy = ys[lo:hi, None] - ys[None, :]
         rr = rs[lo:hi, None] + rs[None, :]
-        hit = dx * dx + dy * dy <= rr * rr
-        hit &= idx[None, :] > idx[lo:hi, None]
-        ii, jj = np.nonzero(hit)
-        cols_u.append(ii + lo)
-        cols_v.append(jj)
-    if not cols_u:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(cols_u), np.concatenate(cols_v)
+        return dx * dx + dy * dy <= rr * rr
+
+    return _block_scan(xs.size, block_hits)
 
 
-def _rect_pairs_numpy(x1, y1, x2, y2, block=256):
-    n = x1.size
-    cols_u = []
-    cols_v = []
-    idx = np.arange(n, dtype=np.int64)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+def rect_pairs(x1, y1, x2, y2):
+    # Closed-interval overlap on both axes.
+    def block_hits(lo, hi):
         overlap_x = (x1[lo:hi, None] <= x2[None, :]) & (x1[None, :] <= x2[lo:hi, None])
         overlap_y = (y1[lo:hi, None] <= y2[None, :]) & (y1[None, :] <= y2[lo:hi, None])
-        hit = overlap_x & overlap_y
-        hit &= idx[None, :] > idx[lo:hi, None]
-        ii, jj = np.nonzero(hit)
-        cols_u.append(ii + lo)
-        cols_v.append(jj)
-    if not cols_u:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(cols_u), np.concatenate(cols_v)
+        return overlap_x & overlap_y
 
-
-if USING_NUMBA:
-    dinic = njit(cache=True)(_dinic_impl)
-    residual_reachable = njit(cache=True)(_reachable_impl)
-    disk_pairs = njit(cache=True)(_disk_pairs_impl)
-    rect_pairs = njit(cache=True)(_rect_pairs_impl)
-else:
-    dinic = _dinic_impl
-    residual_reachable = _reachable_impl
-    disk_pairs = _disk_pairs_numpy
-    rect_pairs = _rect_pairs_numpy
+    return _block_scan(x1.size, block_hits)

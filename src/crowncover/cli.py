@@ -30,7 +30,7 @@ from .ioformats import (
     write_shapes,
 )
 from .kernelize import kernelize
-from .oracles import DEFAULT_BRUTE_CAP, ORACLE_NAMES, default_brute_cap, make_oracle
+from .oracles import DEFAULT_BRUTE_CAP, ORACLE_NAMES, check_brute_cap, make_oracle
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0 <= self.eps < 1):
             raise _UsageError(f"eps must be in [0, 1), got {self.eps}")
-        if self.cap is not None and not (1 <= self.cap <= 30):
-            raise _UsageError(f"cap must be in 1..30, got {self.cap}")
+        if self.cap is not None:
+            check_brute_cap(self.cap, "cap")
         if self.swap_size is not None and self.swap_size < 1:
             raise _UsageError(f"swap size must be >= 1, got {self.swap_size}")
 

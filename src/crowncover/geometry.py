@@ -2,10 +2,9 @@
 
 Coordinates are exact rationals. Edge tests compare the squared form
 (disks) or interval endpoints (rects) with no floating point anywhere, so
-tangency is bit-stable: touching shapes intersect (closed model). When all
-coordinates share a small common denominator the pair tests run on scaled
-int64 arrays through the compiled kernels; otherwise a pure Python exact
-loop takes over.
+tangency is bit-stable: touching shapes intersect (closed model). The pair
+tests run on coordinates scaled to a common integer grid: int64 arrays when
+the scaled magnitudes are small enough, exact Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -121,23 +120,20 @@ def rects_intersect(a: Rect, b: Rect) -> bool:
     return a.x1 <= b.x2 and b.x1 <= a.x2 and a.y1 <= b.y2 and b.y1 <= a.y2
 
 
-def _scaled_columns(columns: Sequence[Sequence[Fraction]]):
-    """Scale rational columns to a common integer grid, or None if too big."""
+def _scaled_columns(columns: Sequence[Sequence[Fraction]]) -> list[np.ndarray]:
+    """Scale rational columns to a common integer grid.
+
+    The columns are int64 when every scaled magnitude is within _INT_GUARD,
+    otherwise numpy object arrays of exact Python ints.
+    """
     denom = 1
     for col in columns:
         for q in col:
             denom = denom * q.denominator // math.gcd(denom, q.denominator)
-    biggest = 0
-    scaled = []
-    for col in columns:
-        ints = [int(q * denom) for q in col]
-        scaled.append(ints)
-        for x in ints:
-            if abs(x) > biggest:
-                biggest = abs(x)
-    if biggest > _INT_GUARD:
-        return None
-    return [np.asarray(col, dtype=np.int64) for col in scaled]
+    scaled = [[int(q * denom) for q in col] for col in columns]
+    biggest = max((abs(x) for col in scaled for x in col), default=0)
+    dtype = np.int64 if biggest <= _INT_GUARD else object
+    return [np.asarray(col, dtype=dtype) for col in scaled]
 
 
 def intersection_graph(s: ShapeSet):
@@ -146,43 +142,13 @@ def intersection_graph(s: ShapeSet):
     Returns (graph, shape_map) where shape_map[vertex] is the index of the
     shape the vertex represents.
     """
-    n = len(s.shapes)
-    if n == 0:
-        return build_graph(0, (), ()), ()
     if s.kind == "disks":
-        cols = _scaled_columns(
-            [[d.cx for d in s.shapes], [d.cy for d in s.shapes], [d.r for d in s.shapes]]
-        )
-        if cols is not None:
-            us, vs = disk_pairs(cols[0], cols[1], cols[2])
-            edges = list(zip(us.tolist(), vs.tolist()))
-        else:
-            edges = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if disks_intersect(s.shapes[i], s.shapes[j])
-            ]
+        pairs, fields = disk_pairs, ("cx", "cy", "r")
     else:
-        cols = _scaled_columns(
-            [
-                [r.x1 for r in s.shapes],
-                [r.y1 for r in s.shapes],
-                [r.x2 for r in s.shapes],
-                [r.y2 for r in s.shapes],
-            ]
-        )
-        if cols is not None:
-            us, vs = rect_pairs(cols[0], cols[1], cols[2], cols[3])
-            edges = list(zip(us.tolist(), vs.tolist()))
-        else:
-            edges = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rects_intersect(s.shapes[i], s.shapes[j])
-            ]
-    return build_graph(n, s.weights, edges), tuple(range(n))
+        pairs, fields = rect_pairs, ("x1", "y1", "x2", "y2")
+    us, vs = pairs(*_scaled_columns([[getattr(sh, f) for sh in s.shapes] for f in fields]))
+    n = len(s.shapes)
+    return build_graph(n, s.weights, list(zip(us.tolist(), vs.tolist()))), tuple(range(n))
 
 
 def generate_instance(

@@ -269,6 +269,10 @@ def write_result(res: ApproxResult) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_result(text: str) -> dict:
     """Parse a result document back into a plain dict (fractions restored)."""
     try:
@@ -286,10 +290,16 @@ def parse_result(text: str) -> dict:
             doc["ratio_bound"] = Fraction(doc["ratio_bound"])
     except (ValueError, ZeroDivisionError, TypeError):
         raise ParseError("fraction fields must be `p/q` strings", 1) from None
-    if not isinstance(doc["cover"], list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in doc["cover"]
-    ):
+    if not isinstance(doc["cover"], list) or not all(_is_int(v) for v in doc["cover"]):
         raise ParseError("cover must be a list of integer ids", 1)
+    kernel = doc["kernel"]
+    if not isinstance(kernel, dict) or not all(_is_int(v) for v in kernel.values()):
+        raise ParseError("kernel must be an object with integer fields", 1)
+    eps = doc.get("eps_requested", 0.0)
+    if not isinstance(eps, (int, float)) or isinstance(eps, bool):
+        raise ParseError("eps_requested must be a number", 1)
+    if not (doc.get("swap_size") is None or _is_int(doc["swap_size"])):
+        raise ParseError("swap_size must be an integer or null", 1)
     return doc
 
 

@@ -25,6 +25,13 @@ _CAP_ENV_VAR = "CROWNCOVER_BRUTE_CAP"
 ORACLE_NAMES = ("exact", "greedy", "local-search")
 
 
+def check_brute_cap(cap: int, source: str) -> int:
+    """Return `cap` if it is a valid brute-force size cap: an integer >= 0."""
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise InvalidParameter(f"{source} must be an integer >= 0, got {cap!r}")
+    return cap
+
+
 def default_brute_cap() -> int:
     """Brute-force size cap; override with CROWNCOVER_BRUTE_CAP."""
     raw = os.environ.get(_CAP_ENV_VAR)
@@ -34,9 +41,7 @@ def default_brute_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise InvalidParameter(f"{_CAP_ENV_VAR} must be an integer, got {raw!r}")
-    if cap < 0:
-        raise InvalidParameter(f"{_CAP_ENV_VAR} must be >= 0, got {cap}")
-    return cap
+    return check_brute_cap(cap, _CAP_ENV_VAR)
 
 
 def exact_is(g: WeightedGraph, cap: int | None = None) -> VertexSet:

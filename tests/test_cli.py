@@ -154,9 +154,20 @@ def test_verify_tampered_result_exits_1(tmp_path, capsys):
 
 def test_verify_garbage_result_exits_2(tmp_path, capsys):
     inst = _write(tmp_path, "c5.graph", C5)
-    resp = _write(tmp_path, "res.json", "{broken")
-    assert main(["verify", inst, resp]) == 2
-    capsys.readouterr()
+    assert main(["solve", inst, "-o", str(tmp_path / "good.json")]) == 0
+    good = json.loads((tmp_path / "good.json").read_text(encoding="utf-8"))
+    garbage = [
+        "{broken",
+        json.dumps(dict(good, kernel=[1, 2])),
+        json.dumps(dict(good, kernel=dict(good["kernel"], free_size="3"))),
+        json.dumps(dict(good, eps_requested="abc")),
+        json.dumps(dict(good, swap_size=1.5)),
+    ]
+    for text in garbage:
+        resp = _write(tmp_path, "res.json", text)
+        assert main(["verify", inst, resp]) == 2, text
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
 
 
 def test_solve_shapes_instance(tmp_path, capsys):
@@ -195,3 +206,14 @@ def test_bench_deterministic(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["dance"])
+
+
+# 0 is a valid cap: the 5-vertex kernel of C5 then exceeds it (exit 3).
+@pytest.mark.parametrize("cap, code", [("40", 0), ("0", 3), ("-1", 2)])
+def test_cap_flag_and_env_follow_one_rule(tmp_path, capsys, monkeypatch, cap, code):
+    path = _write(tmp_path, "c5.graph", C5)
+    monkeypatch.delenv("CROWNCOVER_BRUTE_CAP", raising=False)
+    assert main(["solve", path, "--oracle", "exact", "--cap", cap]) == code
+    monkeypatch.setenv("CROWNCOVER_BRUTE_CAP", cap)
+    assert main(["solve", path, "--oracle", "exact"]) == code
+    capsys.readouterr()
