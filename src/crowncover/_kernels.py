@@ -1,6 +1,8 @@
-"""Array kernels for the flow solver and geometric pair tests.
+"""Kernels for the flow solver and geometric pair tests.
 
-`dinic` and `residual_reachable` are plain Python loops over numpy arrays.
+`dinic` and `residual_reachable` are plain Python loops over lists of
+Python ints: a list index costs far less than reading one numpy scalar at a
+time, and the flow arithmetic is exact.
 `disk_pairs` and `rect_pairs` are blocked numpy scans over integer columns:
 int64 columns, or object columns of exact Python ints when the magnitudes
 are too large for int64. Either way the pair tests are exact.
@@ -20,67 +22,53 @@ BLOCK = 256
 def dinic(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source, sink):
     # Residual arcs come in pairs: the partner of arc a is a ^ 1.
     # arc_cap is mutated in place and holds the residual capacities on return.
-    level = np.empty(num_nodes, np.int64)
-    it = np.empty(num_nodes, np.int64)
-    queue = np.empty(num_nodes, np.int64)
-    stack = np.empty(num_nodes + 1, np.int64)
-    path = np.empty(num_nodes + 1, np.int64)
+    out = [adj_arc[adj_off[u]:adj_off[u + 1]] for u in range(num_nodes)]
     flow = 0
     while True:
-        for i in range(num_nodes):
-            level[i] = -1
+        level = [-1] * num_nodes
         level[source] = 0
-        queue[0] = source
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            for k in range(adj_off[u], adj_off[u + 1]):
-                a = adj_arc[k]
+        queue = [source]
+        for u in queue:
+            # A node at the sink's level or beyond lies on no shortest path to it.
+            if level[u] == level[sink]:
+                break
+            lv = level[u] + 1
+            for a in out[u]:
                 v = arc_to[a]
                 if arc_cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue[tail] = v
-                    tail += 1
+                    level[v] = lv
+                    queue.append(v)
         if level[sink] < 0:
             break
-        for i in range(num_nodes):
-            it[i] = adj_off[i]
+        it = [0] * num_nodes
         # Repeated DFS in the level graph until the blocking flow is complete.
         while True:
-            top = 0
-            stack[0] = source
-            found = False
-            while top >= 0:
-                u = stack[top]
+            stack = [source]
+            path = []
+            while stack:
+                u = stack[-1]
                 if u == sink:
-                    found = True
                     break
-                advanced = False
-                while it[u] < adj_off[u + 1]:
-                    a = adj_arc[it[u]]
-                    v = arc_to[a]
-                    if arc_cap[a] > 0 and level[v] == level[u] + 1:
-                        path[top] = a
-                        top += 1
-                        stack[top] = v
-                        advanced = True
+                arcs = out[u]
+                lv = level[u] + 1
+                for i in range(it[u], len(arcs)):
+                    a = arcs[i]
+                    if arc_cap[a] > 0 and level[arc_to[a]] == lv:
+                        it[u] = i
+                        path.append(a)
+                        stack.append(arc_to[a])
                         break
-                    it[u] += 1
-                if not advanced:
+                else:
+                    # Dead end: drop u from the level graph for this phase.
                     level[u] = -1
-                    top -= 1
-                    if top >= 0:
-                        it[stack[top]] += 1
-            if not found:
+                    stack.pop()
+                    if stack:
+                        path.pop()
+                        it[stack[-1]] += 1
+            if not stack:
                 break
-            aug = arc_cap[path[0]]
-            for i in range(1, top):
-                if arc_cap[path[i]] < aug:
-                    aug = arc_cap[path[i]]
-            for i in range(top):
-                a = path[i]
+            aug = min(arc_cap[a] for a in path)
+            for a in path:
                 arc_cap[a] -= aug
                 arc_cap[a ^ 1] += aug
             flow += aug
@@ -88,24 +76,17 @@ def dinic(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source, sink):
 
 
 def residual_reachable(num_nodes, arc_to, arc_cap, adj_off, adj_arc, source):
-    # BFS over arcs with positive residual capacity.
-    seen = np.zeros(num_nodes, np.bool_)
-    queue = np.empty(num_nodes, np.int64)
+    # BFS over arcs with positive residual capacity; returns the reached nodes.
+    seen = [False] * num_nodes
     seen[source] = True
-    queue[0] = source
-    head = 0
-    tail = 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        for k in range(adj_off[u], adj_off[u + 1]):
-            a = adj_arc[k]
+    queue = [source]
+    for u in queue:
+        for a in adj_arc[adj_off[u]:adj_off[u + 1]]:
             v = arc_to[a]
             if arc_cap[a] > 0 and not seen[v]:
                 seen[v] = True
-                queue[tail] = v
-                tail += 1
-    return seen
+                queue.append(v)
+    return queue
 
 
 def _block_scan(n, block_hits):

@@ -3,7 +3,7 @@
 Commands: solve, kernelize, gen, verify, bench. stdout carries only the
 result document; everything diagnostic goes to stderr. Exit codes: 0 ok,
 1 failed verification, 2 malformed input or bad parameters, 3 exact-oracle
-cap exceeded.
+cap exceeded, 4 internal error (message and traceback on stderr).
 """
 
 from __future__ import annotations
@@ -348,6 +348,12 @@ def main(argv=None) -> int:
     except CrownCoverError as exc:
         _diag(f"error: {exc}")
         return 2
+    except Exception as exc:
+        import traceback  # only on this path, so startup imports stay as they are
+
+        _diag(f"internal error: {exc}")
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ from . import _kernels
 from .errors import InconsistentCut, InvalidWeight
 from .graph import WeightedGraph
 
-# Capacities live in int64 inside the solver; bounding the infinite sentinel
-# keeps every intermediate sum exact.
+# The network's tails/heads/caps are int64 arrays; bounding the infinite
+# sentinel keeps every capacity exact in them. The solver itself runs on
+# Python ints.
 _MAX_TOTAL_WEIGHT = 2**62
 
 
@@ -57,8 +58,8 @@ class FlowNetwork:
         return 2 + self.graph_n + v
 
     @cached_property
-    def _residual(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR adjacency over paired residual arcs (arc a's partner is a ^ 1)."""
+    def _residual(self) -> tuple[list[int], list[int], list[int]]:
+        """CSR adjacency over paired residual arcs (arc a's partner is a ^ 1), as lists."""
         m = len(self.tails)
         arc_to = np.empty(2 * m, np.int64)
         arc_to[0::2] = self.heads
@@ -66,11 +67,11 @@ class FlowNetwork:
         tail_of = np.empty(2 * m, np.int64)
         tail_of[0::2] = self.tails
         tail_of[1::2] = self.heads
-        adj_arc = np.argsort(tail_of, kind="stable").astype(np.int64)
+        adj_arc = np.argsort(tail_of, kind="stable")
         counts = np.bincount(tail_of, minlength=self.node_count)
         adj_off = np.zeros(self.node_count + 1, np.int64)
         np.cumsum(counts, out=adj_off[1:])
-        return arc_to, adj_off, adj_arc
+        return arc_to.tolist(), adj_off.tolist(), adj_arc.tolist()
 
 
 def build_bipartite_double(g: WeightedGraph) -> FlowNetwork:
@@ -81,26 +82,13 @@ def build_bipartite_double(g: WeightedGraph) -> FlowNetwork:
         )
     n, m = g.n, g.m
     inf_cap = g.total_weight + 1
-    tails = np.empty(2 * n + 2 * m, np.int64)
-    heads = np.empty(2 * n + 2 * m, np.int64)
-    caps = np.empty(2 * n + 2 * m, np.int64)
-    for v in range(n):
-        tails[v] = 0
-        heads[v] = 2 + v
-        caps[v] = g.weights[v]
-    for i, (u, v) in enumerate(g.edges):
-        a = n + 2 * i
-        tails[a] = 2 + u
-        heads[a] = 2 + n + v
-        caps[a] = inf_cap
-        tails[a + 1] = 2 + v
-        heads[a + 1] = 2 + n + u
-        caps[a + 1] = inf_cap
-    for v in range(n):
-        a = n + 2 * m + v
-        tails[a] = 2 + n + v
-        heads[a] = 1
-        caps[a] = g.weights[v]
+    copy = np.arange(n, dtype=np.int64)
+    ends = g.edge_array
+    # Arc order: n source arcs, then (u1->v2, v1->u2) per edge, then n sink arcs.
+    tails = np.concatenate((np.zeros(n, np.int64), (2 + ends).ravel(), 2 + n + copy))
+    heads = np.concatenate((2 + copy, (2 + n + ends[:, ::-1]).ravel(), np.ones(n, np.int64)))
+    weights = np.array(g.weights, dtype=np.int64)
+    caps = np.concatenate((weights, np.full(2 * m, inf_cap, np.int64), weights))
     for arr in (tails, heads, caps):
         arr.flags.writeable = False
     return FlowNetwork(graph_n=n, tails=tails, heads=heads, caps=caps, inf_cap=inf_cap)
@@ -114,16 +102,15 @@ def max_flow(net: FlowNetwork) -> tuple[int, frozenset[int]]:
     Deterministic: blocking flow over a fixed adjacency order.
     """
     arc_to, adj_off, adj_arc = net._residual
-    arc_cap = np.empty(2 * len(net.tails), np.int64)
-    arc_cap[0::2] = net.caps
-    arc_cap[1::2] = 0
+    arc_cap = [0] * len(arc_to)
+    arc_cap[0::2] = net.caps.tolist()
     flow = _kernels.dinic(
         net.node_count, arc_to, arc_cap, adj_off, adj_arc, net.source, net.sink
     )
-    seen = _kernels.residual_reachable(
+    reach = _kernels.residual_reachable(
         net.node_count, arc_to, arc_cap, adj_off, adj_arc, net.source
     )
-    return int(flow), frozenset(int(v) for v in np.flatnonzero(seen))
+    return flow, frozenset(reach)
 
 
 def min_cut_cover(
@@ -140,12 +127,14 @@ def min_cut_cover(
     reach = residual_reachable
     if net.source not in reach or net.sink in reach:
         raise InconsistentCut("source must be reachable and sink unreachable")
-    side1 = frozenset(v for v in range(n) if net.copy1(v) not in reach)
-    side2 = frozenset(v for v in range(n) if net.copy2(v) in reach)
-    for a in range(len(net.tails)):
-        if net.caps[a] == net.inf_cap:
-            if int(net.tails[a]) in reach and int(net.heads[a]) not in reach:
-                raise InconsistentCut(
-                    f"infinite-capacity arc {int(net.tails[a])}->{int(net.heads[a])} crosses the cut"
-                )
+    in_reach = np.zeros(net.node_count, np.bool_)
+    in_reach[list(reach)] = True
+    side1 = frozenset(np.flatnonzero(~in_reach[2 : 2 + n]).tolist())
+    side2 = frozenset(np.flatnonzero(in_reach[2 + n :]).tolist())
+    crossing = (net.caps == net.inf_cap) & in_reach[net.tails] & ~in_reach[net.heads]
+    if crossing.any():
+        a = int(np.argmax(crossing))  # the first crossing arc in arc order
+        raise InconsistentCut(
+            f"infinite-capacity arc {int(net.tails[a])}->{int(net.heads[a])} crosses the cut"
+        )
     return side1, side2

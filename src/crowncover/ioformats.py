@@ -292,6 +292,10 @@ def parse_result(text: str) -> dict:
         raise ParseError("fraction fields must be `p/q` strings", 1) from None
     if not isinstance(doc["cover"], list) or not all(_is_int(v) for v in doc["cover"]):
         raise ParseError("cover must be a list of integer ids", 1)
+    if not _is_int(doc["cover_weight"]):
+        raise ParseError("cover_weight must be an integer", 1)
+    if not isinstance(doc["oracle"], str):
+        raise ParseError("oracle must be a string", 1)
     kernel = doc["kernel"]
     if not isinstance(kernel, dict) or not all(_is_int(v) for v in kernel.values()):
         raise ParseError("kernel must be an object with integer fields", 1)

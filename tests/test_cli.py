@@ -162,12 +162,27 @@ def test_verify_garbage_result_exits_2(tmp_path, capsys):
         json.dumps(dict(good, kernel=dict(good["kernel"], free_size="3"))),
         json.dumps(dict(good, eps_requested="abc")),
         json.dumps(dict(good, swap_size=1.5)),
+        json.dumps(dict(good, cover_weight="abc")),
+        json.dumps(dict(good, cover_weight=True)),
+        json.dumps(dict(good, oracle=5)),
     ]
     for text in garbage:
         resp = _write(tmp_path, "res.json", text)
         assert main(["verify", inst, resp]) == 2, text
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("crowncover.cli.approx_vc", boom)
+    inst = _write(tmp_path, "c5.graph", C5)
+    assert main(["solve", inst]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error: boom" in err and "Traceback" in err
 
 
 def test_solve_shapes_instance(tmp_path, capsys):

@@ -21,6 +21,24 @@ def test_network_shape_single_edge():
     assert net.inf_cap == 3  # total weight + 1
 
 
+def _loop_network(g):
+    # Arc-by-arc reference for the network's arc order and capacities.
+    n, inf_cap = g.n, g.total_weight + 1
+    arcs = [(0, 2 + v, g.weights[v]) for v in range(n)]
+    for u, v in g.edges:
+        arcs += [(2 + u, 2 + n + v, inf_cap), (2 + v, 2 + n + u, inf_cap)]
+    arcs += [(2 + n + v, 1, g.weights[v]) for v in range(n)]
+    return arcs
+
+
+def test_network_arcs_match_loop_reference():
+    edgeless = build_graph(3, (5, 5, 5), ())
+    for g in [edgeless] + graph_family(20, 9, 6, seed0=10):
+        net = build_bipartite_double(g)
+        arcs = list(zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist()))
+        assert arcs == _loop_network(g)
+
+
 def test_max_flow_single_unit_edge():
     g = build_graph(2, (1, 1), [(0, 1)])
     net = build_bipartite_double(g)
@@ -93,6 +111,26 @@ def test_inconsistent_reachability_rejected():
         min_cut_cover(net, frozenset({net.sink, net.source}))
     with pytest.raises(InconsistentCut):
         min_cut_cover(net, frozenset())
+
+
+def test_infinite_arc_crossing_cut_rejected():
+    # Nodes: s=0, t=1, copy1 = 2, 3, copy2 = 4, 5; the middle arcs are 2->5, 3->4.
+    g = build_graph(2, (1, 1), [(0, 1)])
+    net = build_bipartite_double(g)
+    with pytest.raises(InconsistentCut, match=r"infinite-capacity arc 2->5 crosses the cut"):
+        min_cut_cover(net, frozenset({net.source, net.copy1(0)}))
+
+
+def test_first_crossing_arc_in_arc_order_is_reported():
+    # Path 0-1-2: copy1 = 2, 3, 4, copy2 = 5, 6, 7. Middle arcs in order:
+    # 2->6, 3->5, 3->7, 4->6. With 3, 4 and 5 reachable, 3->5 stays inside
+    # and both 3->7 and 4->6 cross; the first of them in arc order is named.
+    g = build_graph(3, (1, 1, 1), [(0, 1), (1, 2)])
+    net = build_bipartite_double(g)
+    middle = list(zip(net.tails.tolist(), net.heads.tolist()))[3:7]
+    assert middle == [(2, 6), (3, 5), (3, 7), (4, 6)]
+    with pytest.raises(InconsistentCut, match=r"infinite-capacity arc 3->7 crosses the cut"):
+        min_cut_cover(net, frozenset({net.source, 3, 4, 5}))
 
 
 def test_total_weight_overflow_guard():

@@ -16,9 +16,11 @@ import numpy as np
 
 from crowncover import (
     build_bipartite_double,
+    build_graph,
     build_shape_set,
     disk,
     disks_intersect,
+    generate_instance,
     intersection_graph,
     random_gnp_graph,
     rect,
@@ -26,6 +28,7 @@ from crowncover import (
 )
 from crowncover import _kernels
 from crowncover._kernels import dinic, disk_pairs, rect_pairs, residual_reachable
+from crowncover.flow import _MAX_TOTAL_WEIGHT, max_flow
 from crowncover.geometry import _scaled_columns
 
 SIZES = (0, 1, 2, 17, 300, 600)  # 300 and 600 cross the 256-row block
@@ -143,13 +146,13 @@ def _flow_graphs():
 
 
 def _run_dinic(net):
+    # The same list inputs max_flow builds.
     arc_to, adj_off, adj_arc = net._residual
-    caps = np.empty(2 * len(net.tails), np.int64)
-    caps[0::2] = net.caps
-    caps[1::2] = 0
+    caps = [0] * len(arc_to)
+    caps[0::2] = net.caps.tolist()
     flow = dinic(net.node_count, arc_to, caps, adj_off, adj_arc, net.source, net.sink)
-    seen = residual_reachable(net.node_count, arc_to, caps, adj_off, adj_arc, net.source)
-    return flow, set(np.flatnonzero(seen).tolist())
+    reach = residual_reachable(net.node_count, arc_to, caps, adj_off, adj_arc, net.source)
+    return flow, set(reach)
 
 
 def _nx_network(net):
@@ -191,3 +194,35 @@ def test_residual_reachable_matches_networkx():
         G = _nx_network(net)
         _, flow = nx.maximum_flow(G, net.source, net.sink)
         assert reach == _nx_residual_reachable(G, flow, net.source)
+
+
+def _check_max_flow(g):
+    net = build_bipartite_double(g)
+    value, reach = max_flow(net)
+    G = _nx_network(net)
+    nx_value, flow = nx.maximum_flow(G, net.source, net.sink)
+    assert value == nx_value
+    assert reach == _nx_residual_reachable(G, flow, net.source)
+    return net, value
+
+
+def test_max_flow_matches_networkx_at_size():
+    g, _ = intersection_graph(generate_instance("disks", 300, seed=11, region=40))
+    assert g.m > 1000
+    _check_max_flow(g)
+    g = random_gnp_graph(120, 0.1, weight_range=(1, 10**6), seed=5)
+    assert g.m > 500
+    _check_max_flow(g)
+
+
+def test_max_flow_exact_at_weight_limit():
+    # Weights summing to just under the guard: every capacity and the flow
+    # value must stay exact Python ints on the list path.
+    weights = (2**60, 2**61, 2**60 - 3)
+    g = build_graph(3, weights, [(0, 1), (1, 2), (0, 2)])
+    assert g.total_weight + 1 == _MAX_TOTAL_WEIGHT - 2
+    net, value = _check_max_flow(g)
+    assert net.inf_cap == _MAX_TOTAL_WEIGHT - 2
+    # The LP optimum takes vertices 0 and 2 (2**61 - 3, below the all-halves
+    # 2**61 - 3/2); the flow is twice that.
+    assert value == 2 * (weights[0] + weights[2]) and type(value) is int
