@@ -39,7 +39,7 @@ class RunConfig:
     inputs: tuple[str, ...] = ()
     fmt: str = "auto"
     oracle: str = "exact"
-    oracles: tuple[str, ...] = ()
+    oracles: tuple[str, ...] = ORACLE_NAMES
     eps: float = 0.0
     swap_size: int | None = None
     seed: int = 0
@@ -60,6 +60,8 @@ class RunConfig:
             check_brute_cap(self.cap, "cap")
         if self.swap_size is not None and self.swap_size < 1:
             raise _UsageError(f"swap size must be >= 1, got {self.swap_size}")
+        if not self.oracles:
+            raise _UsageError(f"--oracles needs at least one of {', '.join(ORACLE_NAMES)}")
 
 
 class _UsageError(CrownCoverError):
@@ -186,7 +188,6 @@ def _bench_paths(inputs: tuple[str, ...]) -> list[Path]:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    names = cfg.oracles or ("exact", "greedy", "local-search")
     rows = []
     header = (
         "instance", "n", "m", "kernel_frac", "oracle", "cover_w",
@@ -197,7 +198,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         match_cover = matching_2approx_vc(g)
         lp = lp_value(half_integral_solution(g), g)
         match_ratio = f"{Fraction(match_cover.weight) / lp}" if lp > 0 else "-"
-        for name in names:
+        for name in cfg.oracles:
             oracle = make_oracle(
                 name, eps=cfg.eps or None, swap_size=cfg.swap_size,
                 seed=cfg.seed, cap=cfg.cap,
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the pipeline over instances and tabulate")
     p_bench.add_argument("inputs", nargs="+")
-    p_bench.add_argument("--oracles", default="exact,greedy,local-search",
+    p_bench.add_argument("--oracles", default=",".join(ORACLE_NAMES),
                          help="comma-separated oracle names")
     add_common(p_bench)
 

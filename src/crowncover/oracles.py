@@ -9,6 +9,7 @@ bounded-swap local search suitable for unweighted geometric instances.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import random
@@ -107,34 +108,46 @@ def greedy_is(g: WeightedGraph) -> VertexSet:
     """Greedy independent set: repeatedly take the best weight/(degree+1) vertex.
 
     Degrees count only the not-yet-deleted subgraph; ties break to the
-    smallest id; comparisons are exact (cross-multiplied integers).
+    smallest id. Runs on a lazy max-heap in O((n+m) log n) time: degrees
+    only fall, so a vertex's score only rises, and each vertex whose degree
+    fell gets a fresh entry; entries of deleted vertices are skipped when
+    popped. The heap key is the exact integer w * D**2 // (d+1) with
+    D = maxdeg + 1: two distinct scores with denominators at most D differ by
+    at least 1/D**2, so the floor keeps their order and equal scores get
+    equal keys. No float takes part.
     """
     return _greedy_is_ordered(g, tuple(range(g.n)))
 
 
 def _greedy_is_ordered(g: WeightedGraph, tiebreak: tuple[int, ...]) -> VertexSet:
     # tiebreak[v] orders vertices with equal score; identity gives smallest-id.
-    remaining: set[int] = set(range(g.n))
     adj = g.adjacency
     weights = g.weights
+    degree = [len(a) for a in adj]
+    scale = (max(degree, default=0) + 1) ** 2
+    # Entries are (-key, tiebreak, id); heapq is a min-heap. A vertex's newest
+    # entry has a strictly smaller first field than its older ones, so it
+    # pops first, and the vertex is gone by the time an older one pops.
+    heap = [(-(weights[v] * scale // (d + 1)), tiebreak[v], v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
     chosen: list[int] = []
-    while remaining:
-        best = -1
-        best_w = 0
-        best_d = 0
-        for v in sorted(remaining):
-            d = len(adj[v] & remaining)
-            if best < 0:
-                better = True
-            else:
-                lhs = weights[v] * (best_d + 1)
-                rhs = best_w * (d + 1)
-                better = lhs > rhs or (lhs == rhs and tiebreak[v] < tiebreak[best])
-            if better:
-                best, best_w, best_d = v, weights[v], d
-        chosen.append(best)
-        remaining -= adj[best]
-        remaining.discard(best)
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if not alive[v]:
+            continue
+        chosen.append(v)
+        gone = [v, *(u for u in adj[v] if alive[u])]
+        for u in gone:
+            alive[u] = False
+        touched = set()
+        for u in gone:
+            for x in adj[u]:
+                if alive[x]:
+                    degree[x] -= 1
+                    touched.add(x)
+        for x in touched:
+            heapq.heappush(heap, (-(weights[x] * scale // (degree[x] + 1)), tiebreak[x], x))
     return vertex_set(g, chosen)
 
 

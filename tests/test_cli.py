@@ -218,6 +218,15 @@ def test_bench_deterministic(tmp_path, capsys):
     assert strip(first) == strip(second)
 
 
+@pytest.mark.parametrize("oracles", [",", "", " , "])
+def test_bench_empty_oracle_list_exits_2(tmp_path, capsys, oracles):
+    inst = _write(tmp_path, "c5.graph", C5)
+    assert main(["bench", inst, "--oracles", oracles]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--oracles needs at least one of exact, greedy, local-search" in err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["dance"])

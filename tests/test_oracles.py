@@ -1,5 +1,6 @@
 """Independent set oracles: exact branch and bound, greedy, local search."""
 
+import random
 import warnings
 
 import pytest
@@ -15,12 +16,16 @@ from crowncover import (
     default_brute_cap,
     epsilon_to_swap_size,
     exact_is,
+    generate_instance,
     greedy_is,
+    intersection_graph,
     is_independent_set,
     local_search_is,
     make_oracle,
     random_gnp_graph,
+    vertex_set,
 )
+from crowncover.oracles import _greedy_is_ordered
 
 from conftest import brute_max_is_weight, graph_family, has_improving_swap
 
@@ -99,6 +104,74 @@ def test_greedy_always_independent_and_maximal(small_graphs):
 def test_greedy_deterministic(small_graphs):
     for g in small_graphs[:30]:
         assert greedy_is(g) == greedy_is(g)
+
+
+def _greedy_rescan_reference(g, tiebreak):
+    """The O(n^2) greedy: rescan every remaining vertex for each pick."""
+    remaining = set(range(g.n))
+    adj = g.adjacency
+    weights = g.weights
+    chosen = []
+    while remaining:
+        best = -1
+        best_w = 0
+        best_d = 0
+        for v in sorted(remaining):
+            d = len(adj[v] & remaining)
+            if best < 0:
+                better = True
+            else:
+                lhs = weights[v] * (best_d + 1)
+                rhs = best_w * (d + 1)
+                better = lhs > rhs or (lhs == rhs and tiebreak[v] < tiebreak[best])
+            if better:
+                best, best_w, best_d = v, weights[v], d
+        chosen.append(best)
+        remaining -= adj[best]
+        remaining.discard(best)
+    return vertex_set(g, chosen)
+
+
+def _assert_matches_reference(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    for tiebreak in (tuple(range(g.n)), tuple(perm)):
+        assert _greedy_is_ordered(g, tiebreak) == _greedy_rescan_reference(g, tiebreak)
+
+
+@pytest.mark.parametrize("weight_range", [(1, 1), (1, 3), (1, 10**6), (2**60, 2**60 + 5)])
+def test_greedy_heap_matches_rescan_reference_gnp(weight_range):
+    for seed in range(20):
+        n = 5 + 7 * seed
+        for p in (0.1, 0.4):
+            g = random_gnp_graph(n, p, weight_range=weight_range, seed=seed)
+            _assert_matches_reference(g, seed)
+    for n in (0, 1, 9):
+        g = random_gnp_graph(n, 0.0, weight_range=weight_range, seed=n)
+        assert not g.edges
+        _assert_matches_reference(g, n)
+        assert greedy_is(g).members == tuple(range(n))
+
+
+def test_greedy_heap_matches_rescan_reference_disks():
+    for n, seed in ((50, 1), (200, 2), (400, 3), (600, 4)):
+        g, _ = intersection_graph(generate_instance("disks", n, seed=seed, region=50))
+        assert len(g.edges) > n
+        _assert_matches_reference(g, seed)
+
+
+def test_greedy_key_is_exact_past_float_precision():
+    # (2^53 + 1) / 2 rounds to 2^53 / 2 as a float; only exact keys see the
+    # heavier vertex.
+    g = build_graph(2, (2**53, 2**53 + 1), [(0, 1)])
+    assert greedy_is(g).members == (1,)
+
+
+def test_greedy_key_scale_separates_close_scores():
+    # Scores 1/3 (centre 0) and 1/2 (leaves) with D = 3: scaled by D both
+    # floor to 1 and the tie goes to the centre; scaled by D^2 they are 3 and 4.
+    g = build_graph(3, (1, 1, 1), [(0, 1), (0, 2)])
+    assert greedy_is(g).members == (1, 2)
 
 
 def test_local_search_improves_over_greedy_stall():
