@@ -10,7 +10,7 @@ unconditional a-posteriori ratio bound against the LP lower bound.
 
 from __future__ import annotations
 
-import time
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,9 +22,9 @@ from .graph import (
     is_vertex_cover,
     vertex_set,
 )
-from .halfint import lp_value
-from .kernelize import _kernelize_with_solution, lift
-from .oracles import exact_is
+from .halfint import half_integral_solution, lp_value
+from .kernelize import kernelize, lift
+from .oracles import check_brute_cap, check_eps, default_brute_cap, exact_is
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,16 @@ def approx_vc(g: WeightedGraph, oracle, eps: float = 0.0) -> ApproxResult:
     optimality the pipeline cannot deliver). The certified ratio bound is
     cover weight over the LP lower bound, or None on edgeless instances.
     """
-    if not (0 <= eps < 1):
-        raise InvalidParameter(f"eps must be in [0, 1), got {eps}")
+    check_eps(eps)
     if eps == 0 and getattr(oracle, "quality", "") != "exact":
         raise InvalidParameter("eps=0 requires the exact oracle")
-    kernel, sol = _kernelize_with_solution(g)
+    kernel = kernelize(g)
     if kernel.kernel_graph.n == 0:
         cover = lift(kernel, vertex_set(kernel.kernel_graph, ()))
     else:
         ind = oracle.solve(kernel.kernel_graph)
         cover = lift(kernel, complement_set(kernel.kernel_graph, ind))
-    bound = lp_value(sol, g)
+    bound = kernel.lp_bound
     ratio = Fraction(cover.weight) / bound if bound > 0 else None
     return ApproxResult(
         cover=cover,
@@ -135,11 +134,18 @@ def verify_result(
 ) -> VerificationReport:
     """Re-check a result against its instance; failures land in the report.
 
-    Revalidates the cover, its weight, the LP lower bound, and the ratio
-    bound. When the instance is small enough for the brute-force cap, also
-    reports the exact ratio against the true optimum.
+    Revalidates the cover, its weight, the LP lower bound, the kernel
+    statistics and the ratio bound; one max-flow serves both LP checks. When
+    the instance is small enough for the brute-force cap, also reports the
+    exact ratio against the true optimum. Raises InvalidParameter if `cap`
+    breaks :func:`check_brute_cap`.
     """
+    effective_cap = default_brute_cap() if cap is None else check_brute_cap(cap, "cap")
     checks: list[CheckResult] = []
+
+    @functools.cache
+    def lp_solution():
+        return half_integral_solution(g)
 
     def run(name: str, fn) -> None:
         try:
@@ -163,10 +169,26 @@ def verify_result(
         return ok, f"recomputed {actual}, reported {res.cover_weight}"
 
     def lp_matches():
-        from .halfint import half_integral_solution
-
-        bound = lp_value(half_integral_solution(g), g)
+        bound = lp_value(lp_solution(), g)
         return bound == res.lp_lower_bound, f"recomputed {bound}, reported {res.lp_lower_bound}"
+
+    def kernel_matches():
+        # LP value 0, 1/2, 1 (doubled: 0, 1, 2) puts a vertex in free, kernel, forced.
+        sizes, weights = [0, 0, 0], [0, 0, 0]
+        for w, t in zip(g.weights, lp_solution().twice_values):
+            sizes[t] += 1
+            weights[t] += w
+        expected = KernelStats(
+            free_size=sizes[0], free_weight=weights[0],
+            kernel_size=sizes[1], kernel_weight=weights[1],
+            forced_size=sizes[2], forced_weight=weights[2],
+        )
+        reported = res.kernel_stats
+        detail = (
+            f"free/kernel/forced recomputed {_stats_str(expected)},"
+            f" reported {_stats_str(reported)}"
+        )
+        return expected == reported, detail
 
     def lp_below_cover():
         ok = res.lp_lower_bound <= res.cover_weight
@@ -184,13 +206,11 @@ def verify_result(
     run("cover_is_vertex_cover", covers)
     run("cover_weight_matches", weight_matches)
     run("lp_bound_matches", lp_matches)
+    run("kernel_stats_match", kernel_matches)
     run("lp_bound_le_cover_weight", lp_below_cover)
     run("ratio_bound_matches", ratio_matches)
 
     exact_ratio: Fraction | None = None
-    from .oracles import default_brute_cap
-
-    effective_cap = default_brute_cap() if cap is None else cap
     if g.n <= effective_cap:
 
         def exact_check():
@@ -210,8 +230,9 @@ def verify_result(
     return VerificationReport(checks=tuple(checks), exact_ratio=exact_ratio)
 
 
-def timed(fn, *args, **kwargs):
-    """Run fn and return (result, elapsed_seconds). Used by the CLI bench."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
+
+def _stats_str(ks: KernelStats) -> str:
+    return (
+        f"sizes {ks.free_size}/{ks.kernel_size}/{ks.forced_size}"
+        f" weights {ks.free_weight}/{ks.kernel_weight}/{ks.forced_weight}"
+    )

@@ -1,71 +1,36 @@
 """Command line interface.
 
-Commands: solve, kernelize, gen, verify, bench. stdout carries only the
-result document; everything diagnostic goes to stderr. Exit codes: 0 ok,
-1 failed verification, 2 malformed input or bad parameters, 3 exact-oracle
-cap exceeded, 4 internal error (message and traceback on stderr).
+Commands: solve, kernelize, gen, verify, bench. Each subcommand reads its
+argparse namespace directly; every parameter is validated once, by the
+library function that uses it. An instance file's kind (graph, disks or
+rects) comes from its `p` header. stdout carries only the result document;
+everything diagnostic goes to stderr. Exit codes: 0 ok, 1 failed
+verification, 2 malformed input or bad parameters, 3 exact-oracle cap
+exceeded, 4 internal error (message and traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import approx_vc, matching_2approx_vc, timed, verify_result
-from .errors import CrownCoverError, TooLarge
+from .approx import approx_vc, matching_2approx_vc, verify_result
+from .errors import CrownCoverError, InvalidParameter, TooLarge
 from .geometry import ShapeSet, generate_instance, intersection_graph
-from .graph import random_gnp_graph
-from .halfint import half_integral_solution, lp_value
+from .graph import WeightedGraph, random_gnp_graph
 from .ioformats import (
-    parse_graph,
     parse_instance,
     parse_result,
-    parse_shapes,
     result_from_doc,
     write_graph,
     write_result,
     write_shapes,
 )
 from .kernelize import kernelize
-from .oracles import DEFAULT_BRUTE_CAP, ORACLE_NAMES, check_brute_cap, make_oracle
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    inputs: tuple[str, ...] = ()
-    fmt: str = "auto"
-    oracle: str = "exact"
-    oracles: tuple[str, ...] = ORACLE_NAMES
-    eps: float = 0.0
-    swap_size: int | None = None
-    seed: int = 0
-    cap: int | None = None
-    output: str | None = None
-    result_path: str | None = None
-    kind: str = "disks"
-    n: int = 0
-    p: float = 0.3
-    region: int = 100
-    size_range: tuple[int, int] = (1, 5)
-    weight_range: tuple[int, int] = (1, 1)
-
-    def __post_init__(self):
-        if not (0 <= self.eps < 1):
-            raise _UsageError(f"eps must be in [0, 1), got {self.eps}")
-        if self.cap is not None:
-            check_brute_cap(self.cap, "cap")
-        if self.swap_size is not None and self.swap_size < 1:
-            raise _UsageError(f"swap size must be >= 1, got {self.swap_size}")
-        if not self.oracles:
-            raise _UsageError(f"--oracles needs at least one of {', '.join(ORACLE_NAMES)}")
-
-
-class _UsageError(CrownCoverError):
-    pass
+from .oracles import DEFAULT_BRUTE_CAP, ORACLE_NAMES, make_oracle
 
 
 def _diag(msg: str) -> None:
@@ -79,31 +44,35 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _load_graph(path: str, fmt: str):
-    """Read an instance file and return (graph, n_shapes or None)."""
-    text = Path(path).read_text(encoding="utf-8")
-    if fmt == "graph":
-        inst = parse_graph(text)
-    elif fmt in ("disks", "rects", "shapes"):
-        inst = parse_shapes(text)
-    else:
-        inst = parse_instance(text)
+def _load_graph(path: str) -> tuple[WeightedGraph, bool]:
+    """Read an instance file; True if it held shapes, now their intersection graph."""
+    inst = parse_instance(Path(path).read_text(encoding="utf-8"))
     if isinstance(inst, ShapeSet):
-        g, _ = intersection_graph(inst)
-        return g, len(inst)
-    return inst, None
+        return intersection_graph(inst)[0], True
+    return inst, False
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    g, n_shapes = _load_graph(cfg.inputs[0], cfg.fmt)
-    if n_shapes is not None:
-        _diag(f"intersection graph: {g.n} vertices, {len(g.edges)} edges")
-    oracle = make_oracle(
-        cfg.oracle, eps=cfg.eps or None, swap_size=cfg.swap_size,
-        seed=cfg.seed, cap=cfg.cap,
+def _timed(fn, *args):
+    """Run fn and return (result, elapsed_seconds)."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def _oracle(name: str, args: argparse.Namespace):
+    return make_oracle(
+        name, eps=args.eps or None, swap_size=args.swap_size,
+        seed=args.seed, cap=args.cap,
     )
-    res, seconds = timed(approx_vc, g, oracle, cfg.eps)
-    _emit(write_result(res), cfg.output)
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    oracle = _oracle(args.oracle, args)
+    g, from_shapes = _load_graph(args.input)
+    if from_shapes:
+        _diag(f"intersection graph: {g.n} vertices, {len(g.edges)} edges")
+    res, seconds = _timed(approx_vc, g, oracle, args.eps)
+    _emit(write_result(res), args.output)
     ks = res.kernel_stats
     _diag(
         f"kernel: {ks.kernel_size}/{g.n} vertices, forced {ks.forced_size},"
@@ -116,8 +85,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_kernelize(cfg: RunConfig) -> int:
-    g, _ = _load_graph(cfg.inputs[0], cfg.fmt)
+def cmd_kernelize(args: argparse.Namespace) -> int:
+    g, _ = _load_graph(args.input)
     kern = kernelize(g)
     zeros = kern.free
     ones = kern.forced
@@ -131,7 +100,7 @@ def cmd_kernelize(cfg: RunConfig) -> int:
         originals = " ".join(str(v + 1) for v in kern.back_map)
         lines.append(f"c original-ids {originals}")
     doc = "\n".join(lines) + "\n" + write_graph(kg)
-    _emit(doc, cfg.output)
+    _emit(doc, args.output)
     _diag(
         f"kernel {kg.n} of {g.n} vertices; forced weight {ones.weight},"
         f" dropped weight {zeros.weight}"
@@ -139,32 +108,31 @@ def cmd_kernelize(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.kind == "gnp":
-        g = random_gnp_graph(
-            cfg.n, cfg.p, weight_range=cfg.weight_range, seed=cfg.seed
-        )
-        _emit(write_graph(g), cfg.output)
-        _diag(f"generated gnp graph: n={g.n}, m={len(g.edges)}, seed={cfg.seed}")
+def cmd_gen(args: argparse.Namespace) -> int:
+    weight_range = (args.weight_min, args.weight_max)
+    if args.kind == "gnp":
+        g = random_gnp_graph(args.n, args.p, weight_range=weight_range, seed=args.seed)
+        _emit(write_graph(g), args.output)
+        _diag(f"generated gnp graph: n={g.n}, m={len(g.edges)}, seed={args.seed}")
         return 0
     shapes = generate_instance(
-        cfg.kind,
-        cfg.n,
-        seed=cfg.seed,
-        region=cfg.region,
-        size_range=cfg.size_range,
-        weight_range=cfg.weight_range,
+        args.kind,
+        args.n,
+        seed=args.seed,
+        region=args.region,
+        size_range=(args.size_min, args.size_max),
+        weight_range=weight_range,
     )
-    _emit(write_shapes(shapes), cfg.output)
-    _diag(f"generated {len(shapes)} {shapes.kind}, seed={cfg.seed}")
+    _emit(write_shapes(shapes), args.output)
+    _diag(f"generated {len(shapes)} {shapes.kind}, seed={args.seed}")
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g, _ = _load_graph(cfg.inputs[0], cfg.fmt)
-    doc = parse_result(Path(cfg.result_path).read_text(encoding="utf-8"))
+def cmd_verify(args: argparse.Namespace) -> int:
+    g, _ = _load_graph(args.input)
+    doc = parse_result(Path(args.result).read_text(encoding="utf-8"))
     res = result_from_doc(doc, g)
-    report = verify_result(g, res, cap=cfg.cap)
+    report = verify_result(g, res, cap=args.cap)
     out = []
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -172,11 +140,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     if report.exact_ratio is not None:
         out.append(f"INFO exact_ratio: {report.exact_ratio}")
     out.append("OK" if report.passed else "FAILED")
-    _emit("\n".join(out) + "\n", cfg.output)
+    _emit("\n".join(out) + "\n", args.output)
     return 0 if report.passed else 1
 
 
-def _bench_paths(inputs: tuple[str, ...]) -> list[Path]:
+def _bench_paths(inputs: list[str]) -> list[Path]:
     paths: list[Path] = []
     for item in inputs:
         p = Path(item)
@@ -187,30 +155,35 @@ def _bench_paths(inputs: tuple[str, ...]) -> list[Path]:
     return paths
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
+    names = [s.strip() for s in args.oracles.split(",") if s.strip()]
+    if not names:
+        raise InvalidParameter(f"--oracles needs at least one of {', '.join(ORACLE_NAMES)}")
+    oracles = [_oracle(name, args) for name in names]
     rows = []
     header = (
         "instance", "n", "m", "kernel_frac", "oracle", "cover_w",
         "lp_bound", "ratio", "time_s", "match_w", "match_ratio",
     )
-    for path in _bench_paths(cfg.inputs):
-        g, _ = _load_graph(str(path), cfg.fmt)
-        match_cover = matching_2approx_vc(g)
-        lp = lp_value(half_integral_solution(g), g)
-        match_ratio = f"{Fraction(match_cover.weight) / lp}" if lp > 0 else "-"
-        for name in cfg.oracles:
-            oracle = make_oracle(
-                name, eps=cfg.eps or None, swap_size=cfg.swap_size,
-                seed=cfg.seed, cap=cfg.cap,
-            )
-            # heuristic rows need a declared eps; fall back to 0.5 if unset
-            eps = 0.0 if name == "exact" else (cfg.eps if cfg.eps > 0 else 0.5)
+    for path in _bench_paths(args.inputs):
+        g, _ = _load_graph(str(path))
+        match_w = str(matching_2approx_vc(g).weight)
+        runs = []
+        for name, oracle in zip(names, oracles):
+            # heuristic rows need a declared eps; 0.5 if none was given
+            eps = 0.0 if name == "exact" else (args.eps or 0.5)
             try:
-                res, seconds = timed(approx_vc, g, oracle, eps)
+                runs.append((name, *_timed(approx_vc, g, oracle, eps)))
             except TooLarge:
+                runs.append((name, None, None))
+        # every completed row of an instance carries the same LP bound
+        lp = next((res.lp_lower_bound for _, res, _ in runs if res is not None), 0)
+        match_ratio = f"{Fraction(match_w) / lp}" if lp > 0 else "-"
+        for name, res, seconds in runs:
+            if res is None:
                 rows.append(
                     (path.name, str(g.n), str(len(g.edges)), "-", name,
-                     "cap-exceeded", "-", "-", "-", str(match_cover.weight), match_ratio)
+                     "cap-exceeded", "-", "-", "-", match_w, match_ratio)
                 )
                 continue
             frac = f"{res.kernel_stats.kernel_size}/{g.n}" if g.n else "0/0"
@@ -222,7 +195,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             rows.append(
                 (path.name, str(g.n), str(len(g.edges)), frac, name,
                  str(res.cover_weight), f"{res.lp_lower_bound}", ratio,
-                 f"{seconds:.4f}", str(match_cover.weight), match_ratio)
+                 f"{seconds:.4f}", match_w, match_ratio)
             )
     widths = [
         max(len(header[i]), max((len(r[i]) for r in rows), default=0))
@@ -230,17 +203,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     ]
     fmt_row = lambda r: "  ".join(str(r[i]).ljust(widths[i]) for i in range(len(r)))
     out = [fmt_row(header)] + [fmt_row(r) for r in rows]
-    _emit("\n".join(out) + "\n", cfg.output)
+    _emit("\n".join(out) + "\n", args.output)
     return 0
-
-
-_DISPATCH = {
-    "solve": cmd_solve,
-    "kernelize": cmd_kernelize,
-    "gen": cmd_gen,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,32 +215,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_oracle=True):
-        p.add_argument("--format", default="auto",
-                       choices=("auto", "graph", "disks", "rects"),
-                       help="input format (default: detect from header)")
-        p.add_argument("-o", "--output", default=None,
-                       help="write the result document here instead of stdout")
-        if with_oracle:
-            p.add_argument("--oracle", default="exact", choices=ORACLE_NAMES)
-            p.add_argument("--eps", type=float, default=0.0,
-                           help="requested approximation error in [0, 1)")
-            p.add_argument("--swap-size", type=int, default=None,
-                           help="local search swap size override")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--cap", type=int, default=None,
-                           help=f"exact-oracle size cap (default "
-                                f"{DEFAULT_BRUTE_CAP}, env CROWNCOVER_BRUTE_CAP)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None,
+                        help="write the result document here instead of stdout")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=None,
+                     help=f"exact-oracle size cap (default "
+                          f"{DEFAULT_BRUTE_CAP}, env CROWNCOVER_BRUTE_CAP)")
+    solver = argparse.ArgumentParser(add_help=False, parents=[cap])
+    solver.add_argument("--eps", type=float, default=0.0,
+                        help="requested approximation error in [0, 1)")
+    solver.add_argument("--swap-size", type=int, default=None,
+                        help="local search swap size override")
+    solver.add_argument("--seed", type=int, default=0)
 
-    p_solve = sub.add_parser("solve", help="approximate a minimum-weight vertex cover")
+    def add(name: str, run, parents, help: str):
+        # allow_abbrev=False: bench's `--oracle` must not pass for `--oracles`
+        p = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
+
+    p_solve = add("solve", cmd_solve, [solver, output],
+                  "approximate a minimum-weight vertex cover")
     p_solve.add_argument("input")
-    add_common(p_solve)
+    p_solve.add_argument("--oracle", default="exact", choices=ORACLE_NAMES)
 
-    p_kern = sub.add_parser("kernelize", help="emit the crown kernel as a graph file")
+    p_kern = add("kernelize", cmd_kernelize, [output],
+                 "emit the crown kernel as a graph file")
     p_kern.add_argument("input")
-    add_common(p_kern, with_oracle=False)
 
-    p_gen = sub.add_parser("gen", help="generate a random instance file")
+    p_gen = add("gen", cmd_gen, [output], "generate a random instance file")
     p_gen.add_argument("--kind", default="disks", choices=("disks", "rects", "gnp"))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -286,60 +254,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--size-max", type=int, default=5)
     p_gen.add_argument("--weight-min", type=int, default=1)
     p_gen.add_argument("--weight-max", type=int, default=1)
-    p_gen.add_argument("-o", "--output", default=None)
 
-    p_ver = sub.add_parser("verify", help="check a result document against its instance")
+    p_ver = add("verify", cmd_verify, [cap, output],
+                "check a result document against its instance")
     p_ver.add_argument("input")
     p_ver.add_argument("result")
-    p_ver.add_argument("--format", default="auto",
-                       choices=("auto", "graph", "disks", "rects"))
-    p_ver.add_argument("--cap", type=int, default=None)
-    p_ver.add_argument("-o", "--output", default=None)
 
-    p_bench = sub.add_parser("bench", help="run the pipeline over instances and tabulate")
+    p_bench = add("bench", cmd_bench, [solver, output],
+                  "run the pipeline over instances and tabulate")
     p_bench.add_argument("inputs", nargs="+")
     p_bench.add_argument("--oracles", default=",".join(ORACLE_NAMES),
                          help="comma-separated oracle names")
-    add_common(p_bench)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw: dict = {"command": args.command}
-    if args.command == "gen":
-        kw.update(
-            kind=args.kind, n=args.n, seed=args.seed, p=args.p,
-            region=args.region, size_range=(args.size_min, args.size_max),
-            weight_range=(args.weight_min, args.weight_max), output=args.output,
-        )
-        if args.n < 0:
-            raise _UsageError(f"n must be >= 0, got {args.n}")
-        return RunConfig(**kw)
-    kw["fmt"] = args.format
-    kw["output"] = args.output
-    if args.command == "verify":
-        kw.update(inputs=(args.input,), result_path=args.result, cap=args.cap)
-        return RunConfig(**kw)
-    if args.command == "bench":
-        kw["inputs"] = tuple(args.inputs)
-        kw["oracles"] = tuple(s.strip() for s in args.oracles.split(",") if s.strip())
-    else:
-        kw["inputs"] = (args.input,)
-    if args.command in ("solve", "bench"):
-        kw.update(
-            oracle=args.oracle, eps=args.eps, swap_size=args.swap_size,
-            seed=args.seed, cap=args.cap,
-        )
-    return RunConfig(**kw)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return args.run(args)
     except TooLarge as exc:
         _diag(f"error: {exc}")
         return 3

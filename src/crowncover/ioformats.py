@@ -13,6 +13,7 @@ write(parse(t)) is byte-stable on canonical t.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .approx import ApproxResult, KernelStats
@@ -238,6 +239,9 @@ def parse_instance(text: str):
     raise MissingHeader("empty instance file", 1)
 
 
+_KERNEL_KEYS = tuple(f.name for f in fields(KernelStats))
+
+
 def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -251,14 +255,7 @@ def write_result(res: ApproxResult) -> str:
         "cover": [v + 1 for v in res.cover.members],
         "cover_weight": res.cover_weight,
         "eps_requested": res.eps_requested,
-        "kernel": {
-            "forced_size": res.kernel_stats.forced_size,
-            "forced_weight": res.kernel_stats.forced_weight,
-            "free_size": res.kernel_stats.free_size,
-            "free_weight": res.kernel_stats.free_weight,
-            "kernel_size": res.kernel_stats.kernel_size,
-            "kernel_weight": res.kernel_stats.kernel_weight,
-        },
+        "kernel": asdict(res.kernel_stats),
         "lp_bound": _frac_str(res.lp_lower_bound),
         "oracle": res.oracle_name,
     }
@@ -299,6 +296,9 @@ def parse_result(text: str) -> dict:
     kernel = doc["kernel"]
     if not isinstance(kernel, dict) or not all(_is_int(v) for v in kernel.values()):
         raise ParseError("kernel must be an object with integer fields", 1)
+    for key in _KERNEL_KEYS:
+        if key not in kernel:
+            raise ParseError(f"kernel missing key {key!r}", 1)
     eps = doc.get("eps_requested", 0.0)
     if not isinstance(eps, (int, float)) or isinstance(eps, bool):
         raise ParseError("eps_requested must be a number", 1)
@@ -315,15 +315,7 @@ def result_from_doc(doc: dict, g: WeightedGraph) -> ApproxResult:
     """
     members = tuple(sorted(v - 1 for v in doc["cover"]))
     weight = sum(g.weights[v] for v in members if 0 <= v < g.n)
-    k = doc.get("kernel", {})
-    stats = KernelStats(
-        free_size=k.get("free_size", 0),
-        free_weight=k.get("free_weight", 0),
-        kernel_size=k.get("kernel_size", 0),
-        kernel_weight=k.get("kernel_weight", 0),
-        forced_size=k.get("forced_size", 0),
-        forced_weight=k.get("forced_weight", 0),
-    )
+    stats = KernelStats(**{key: doc["kernel"][key] for key in _KERNEL_KEYS})
     return ApproxResult(
         cover=VertexSet(members=members, weight=weight),
         cover_weight=doc["cover_weight"],

@@ -39,12 +39,14 @@ class Kernel:
 
     `back_map[i]` is the original id of kernel vertex i. `forced` (the ones)
     belongs to some minimum cover of G; `free` (the zeros) avoids one.
+    `lp_bound` is the LP optimum of G, a lower bound on every cover of G.
     """
 
     kernel_graph: WeightedGraph
     forced: VertexSet
     free: VertexSet
     back_map: tuple[int, ...]
+    lp_bound: Fraction
 
 
 def partition(g: WeightedGraph, sol: HalfIntegralSolution) -> CrownPartition:
@@ -66,7 +68,8 @@ def partition(g: WeightedGraph, sol: HalfIntegralSolution) -> CrownPartition:
     )
 
 
-def _kernelize_with_solution(g: WeightedGraph) -> tuple[Kernel, HalfIntegralSolution]:
+def kernelize(g: WeightedGraph) -> Kernel:
+    """Full reduction: LP solve, crown partition, induced kernel subgraph."""
     sol = half_integral_solution(g)
     part = partition(g, sol)
     kernel_graph, back_map = induced_subgraph(g, part.halves)
@@ -76,19 +79,13 @@ def _kernelize_with_solution(g: WeightedGraph) -> tuple[Kernel, HalfIntegralSolu
             raise CrownViolation(
                 f"vertex {back_map[v]} is isolated in the kernel; solution not optimal"
             )
-    kernel = Kernel(
+    return Kernel(
         kernel_graph=kernel_graph,
         forced=part.ones,
         free=part.zeros,
         back_map=back_map,
+        lp_bound=sol.objective,
     )
-    return kernel, sol
-
-
-def kernelize(g: WeightedGraph) -> Kernel:
-    """Full reduction: LP solve, crown partition, induced kernel subgraph."""
-    kernel, _ = _kernelize_with_solution(g)
-    return kernel
 
 
 def lift(k: Kernel, c_kernel: VertexSet) -> VertexSet:

@@ -33,6 +33,18 @@ def check_brute_cap(cap: int, source: str) -> int:
     return cap
 
 
+def check_eps(eps) -> None:
+    """Raise unless `eps` is a valid requested approximation error: in [0, 1)."""
+    if not (0 <= _as_fraction(eps, "eps") < 1):
+        raise InvalidParameter(f"eps must be in [0, 1), got {eps}")
+
+
+def check_swap_size(t: int) -> None:
+    """Raise unless `t` is a valid local search swap size: at least 1."""
+    if t < 1:
+        raise InvalidSwapSize(f"swap size must be >= 1, got {t}")
+
+
 def default_brute_cap() -> int:
     """Brute-force size cap; override with CROWNCOVER_BRUTE_CAP."""
     raw = os.environ.get(_CAP_ENV_VAR)
@@ -51,9 +63,10 @@ def exact_is(g: WeightedGraph, cap: int | None = None) -> VertexSet:
     Branches on a maximum-degree vertex of the remaining subgraph (ties to
     the smallest id): either exclude it, or include it and drop its closed
     neighborhood. Prunes when the remaining weight cannot beat the incumbent.
-    Deterministic. Raises TooLarge above the cap.
+    Deterministic. Raises TooLarge above the cap, InvalidParameter if the
+    cap breaks :func:`check_brute_cap`.
     """
-    cap = default_brute_cap() if cap is None else cap
+    cap = default_brute_cap() if cap is None else check_brute_cap(cap, "cap")
     if g.n > cap:
         raise TooLarge(f"exact solve capped at {cap} vertices, instance has {g.n}")
     n = g.n
@@ -161,8 +174,7 @@ def local_search_is(g: WeightedGraph, t: int, seed: int = 0) -> VertexSet:
     candidate tuples. Intended for unweighted instances; on non-uniform
     weights it warns and optimizes cardinality.
     """
-    if t < 1:
-        raise InvalidSwapSize(f"swap size must be >= 1, got {t}")
+    check_swap_size(t)
     if len(set(g.weights)) > 1:
         warnings.warn(
             "local_search_is optimizes cardinality; non-uniform weights are ignored",
@@ -288,8 +300,15 @@ def make_oracle(
     """Build an oracle by name: "exact" | "greedy" | "local-search".
 
     For local search the swap size comes from `swap_size` if given, else from
-    `eps` via :func:`epsilon_to_swap_size`, else defaults to 1.
+    `eps` via :func:`epsilon_to_swap_size`, else defaults to 1. Every `eps`,
+    `swap_size` and `cap` given is checked, whichever oracle is built.
     """
+    if eps is not None:
+        check_eps(eps)
+    if swap_size is not None:
+        check_swap_size(swap_size)
+    if cap is not None:
+        check_brute_cap(cap, "cap")
     if name == "exact":
         return ExactOracle(cap=cap)
     if name == "greedy":

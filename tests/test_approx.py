@@ -1,5 +1,6 @@
 """End-to-end cover pipeline, baselines, and result verification."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,13 @@ from crowncover import (
     LocalSearchOracle,
     approx_vc,
     build_graph,
+    exact_is,
     exact_vc,
     is_vertex_cover,
     matching_2approx_vc,
     verify_result,
 )
+import crowncover.approx as approx_module
 from crowncover.approx import ApproxResult
 
 from conftest import brute_min_vc_weight, graph_family
@@ -166,6 +169,30 @@ def test_verify_result_flags_non_cover():
     failed = {c.name for c in rep.checks if not c.passed}
     assert "cover_is_vertex_cover" in failed
     assert "ratio_bound_matches" in failed  # 2/5 < 1 is impossible
+
+
+def test_verify_result_flags_kernel_stats_with_one_flow(monkeypatch):
+    g = build_graph(4, (1, 1, 1, 1), [(0, 1), (0, 2), (0, 3)])
+    res = approx_vc(g, ExactOracle(), 0.0)
+    flows = []
+    real = approx_module.half_integral_solution
+    monkeypatch.setattr(approx_module, "half_integral_solution",
+                        lambda h: flows.append(h) or real(h))
+    assert verify_result(g, res).passed
+    assert len(flows) == 1
+    stats = dataclasses.replace(res.kernel_stats, forced_size=99, kernel_weight=7)
+    rep = verify_result(g, dataclasses.replace(res, kernel_stats=stats))
+    assert {c.name for c in rep.checks if not c.passed} == {"kernel_stats_match"}
+    assert len(flows) == 2
+
+
+def test_negative_cap_is_invalid_parameter():
+    g = _c5()
+    res = approx_vc(g, ExactOracle(), 0.0)
+    with pytest.raises(InvalidParameter):
+        exact_is(g, cap=-1)
+    with pytest.raises(InvalidParameter):
+        verify_result(g, res, cap=-1)
 
 
 def test_kernel_stats_partition_the_graph():

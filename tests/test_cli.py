@@ -145,11 +145,17 @@ def test_verify_tampered_result_exits_1(tmp_path, capsys):
     assert main(["solve", inst, "-o", str(resp)]) == 0
     capsys.readouterr()
     doc = json.loads(resp.read_text())
-    doc["cover"] = doc["cover"][:-1]  # drop a vertex
-    resp.write_text(json.dumps(doc))
+    tampered = dict(doc, cover=doc["cover"][:-1])  # drop a vertex
+    resp.write_text(json.dumps(tampered))
     assert main(["verify", inst, str(resp)]) == 1
     out, _ = capsys.readouterr()
     assert "FAIL cover_is_vertex_cover" in out
+    tampered = dict(doc, kernel=dict(doc["kernel"], forced_size=99, kernel_weight=7))
+    resp.write_text(json.dumps(tampered))
+    assert main(["verify", inst, str(resp)]) == 1
+    out, _ = capsys.readouterr()
+    assert "FAIL kernel_stats_match" in out
+    assert "FAIL cover_is_vertex_cover" not in out
 
 
 def test_verify_garbage_result_exits_2(tmp_path, capsys):
@@ -165,6 +171,8 @@ def test_verify_garbage_result_exits_2(tmp_path, capsys):
         json.dumps(dict(good, cover_weight="abc")),
         json.dumps(dict(good, cover_weight=True)),
         json.dumps(dict(good, oracle=5)),
+        json.dumps(dict(good, kernel={k: v for k, v in good["kernel"].items()
+                                      if k != "forced_size"})),
     ]
     for text in garbage:
         resp = _write(tmp_path, "res.json", text)
@@ -227,9 +235,42 @@ def test_bench_empty_oracle_list_exits_2(tmp_path, capsys, oracles):
     assert "--oracles needs at least one of exact, greedy, local-search" in err
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["dance"])
+def test_unknown_command_rejected(capsys):
+    # The instance kind comes from the file's header, and bench takes --oracles.
+    for argv in (["dance"], ["solve", "x.graph", "--format", "graph"],
+                 ["bench", "x.graph", "--oracle", "greedy"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+# Each bad value is rejected by the library check that owns the parameter.
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{c5}", "--oracle", "greedy", "--cap", "-1"], "cap must be an integer >= 0"),
+    (["solve", "{c5}", "--swap-size", "0"], "swap size must be >= 1"),
+    (["gen", "--n", "-1"], "n must be >= 0"),
+    (["bench", "{c5}", "--eps", "-0.5", "--oracles", "greedy"], "eps must be in [0, 1)"),
+])
+def test_bad_parameter_exits_2(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "c5.graph", C5)
+    assert main([a.format(c5=path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_bench_match_ratio_uses_first_completed_row(tmp_path, capsys):
+    inst = _write(tmp_path, "c5.graph", C5)
+    # C5's LP bound is 5/2 and its greedy matching takes 4 vertices.
+    assert main(["bench", inst, "--oracles", "exact,greedy", "--cap", "0"]) == 0
+    out, _ = capsys.readouterr()
+    exact_row, greedy_row = (r.split() for r in out.splitlines()[1:])
+    assert exact_row[4:6] == ["exact", "cap-exceeded"]
+    assert exact_row[-1] == greedy_row[-1] == "8/5"
+    assert main(["bench", inst, "--oracles", "exact", "--cap", "0"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.splitlines()[1].split()[-1] == "-"
 
 
 # 0 is a valid cap: the 5-vertex kernel of C5 then exceeds it (exit 3).

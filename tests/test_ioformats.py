@@ -196,11 +196,16 @@ def test_parse_result_errors():
     good = {
         "cover": [1],
         "cover_weight": 1,
-        "kernel": {},
+        "kernel": dict.fromkeys(
+            ("free_size", "free_weight", "kernel_size", "kernel_weight",
+             "forced_size", "forced_weight"), 0),
         "lp_bound": "1/1",
         "oracle": "exact",
     }
     parse_result(json.dumps(good))
+    bad = dict(good, kernel={})
+    with pytest.raises(ParseError, match="kernel missing key 'free_size'"):
+        parse_result(json.dumps(bad))
     bad = dict(good, cover=[1.5])
     with pytest.raises(ParseError):
         parse_result(json.dumps(bad))

@@ -254,6 +254,13 @@ def test_epsilon_to_swap_size_rejects_out_of_range(eps):
         epsilon_to_swap_size(eps)
 
 
+@pytest.mark.parametrize("name", ["exact", "greedy", "local-search"])
+def test_make_oracle_checks_every_parameter(name):
+    for kwargs in ({"eps": 1.0}, {"eps": -0.5}, {"swap_size": 0}, {"cap": -1}):
+        with pytest.raises((InvalidParameter, InvalidSwapSize)):
+            make_oracle(name, **kwargs)
+
+
 def test_make_oracle_names_and_types():
     assert isinstance(make_oracle("exact"), ExactOracle)
     assert isinstance(make_oracle("greedy"), GreedyOracle)
