@@ -22,6 +22,7 @@ from .errors import CrownCoverError, InvalidParameter, TooLarge
 from .geometry import ShapeSet, generate_instance, intersection_graph
 from .graph import WeightedGraph, random_gnp_graph
 from .ioformats import (
+    has_header,
     parse_instance,
     parse_result,
     result_from_doc,
@@ -46,7 +47,11 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load_graph(path: str) -> tuple[WeightedGraph, bool]:
     """Read an instance file; True if it held shapes, now their intersection graph."""
-    inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+    return _graph_of(Path(path).read_text(encoding="utf-8"))
+
+
+def _graph_of(text: str) -> tuple[WeightedGraph, bool]:
+    inst = parse_instance(text)
     if isinstance(inst, ShapeSet):
         return intersection_graph(inst)[0], True
     return inst, False
@@ -71,7 +76,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     g, from_shapes = _load_graph(args.input)
     if from_shapes:
         _diag(f"intersection graph: {g.n} vertices, {len(g.edges)} edges")
-    res, seconds = _timed(approx_vc, g, oracle, args.eps)
+    eps = 0.0 if args.eps is None else args.eps
+    res, seconds = _timed(approx_vc, g, oracle, eps)
     _emit(write_result(res), args.output)
     ks = res.kernel_stats
     _diag(
@@ -144,15 +150,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _bench_paths(inputs: list[str]) -> list[Path]:
-    paths: list[Path] = []
+def _bench_graphs(inputs: list[str]):
+    """Yield (path, graph) for each named file, and for each file in a named
+    directory that starts with a `p` header; other files there are skipped."""
     for item in inputs:
         p = Path(item)
-        if p.is_dir():
-            paths.extend(sorted(q for q in p.iterdir() if q.is_file()))
-        else:
-            paths.append(p)
-    return paths
+        if not p.is_dir():
+            yield p, _load_graph(item)[0]
+            continue
+        for q in sorted(q for q in p.iterdir() if q.is_file()):
+            try:
+                text = q.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                text = ""
+            if not has_header(text):
+                _diag(f"skipping {q}: no `p` header")
+                continue
+            yield q, _graph_of(text)[0]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -160,18 +174,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         raise InvalidParameter(f"--oracles needs at least one of {', '.join(ORACLE_NAMES)}")
     oracles = [_oracle(name, args) for name in names]
+    # heuristic rows need a declared eps; 0.5 only if none was given
+    heuristic_eps = 0.5 if args.eps is None else args.eps
     rows = []
     header = (
         "instance", "n", "m", "kernel_frac", "oracle", "cover_w",
         "lp_bound", "ratio", "time_s", "match_w", "match_ratio",
     )
-    for path in _bench_paths(args.inputs):
-        g, _ = _load_graph(str(path))
+    for path, g in _bench_graphs(args.inputs):
         match_w = str(matching_2approx_vc(g).weight)
         runs = []
         for name, oracle in zip(names, oracles):
-            # heuristic rows need a declared eps; 0.5 if none was given
-            eps = 0.0 if name == "exact" else (args.eps or 0.5)
+            eps = 0.0 if name == "exact" else heuristic_eps
             try:
                 runs.append((name, *_timed(approx_vc, g, oracle, eps)))
             except TooLarge:
@@ -223,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"exact-oracle size cap (default "
                           f"{DEFAULT_BRUTE_CAP}, env CROWNCOVER_BRUTE_CAP)")
     solver = argparse.ArgumentParser(add_help=False, parents=[cap])
-    solver.add_argument("--eps", type=float, default=0.0,
-                        help="requested approximation error in [0, 1)")
+    solver.add_argument("--eps", type=float, default=None,
+                        help="requested approximation error in [0, 1) (default:"
+                             " 0 for solve, 0.5 for bench's heuristic rows)")
     solver.add_argument("--swap-size", type=int, default=None,
                         help="local search swap size override")
     solver.add_argument("--seed", type=int, default=0)

@@ -226,10 +226,19 @@ def write_shapes(s: ShapeSet) -> str:
     return "\n".join(out) + "\n"
 
 
+def _is_header(parts: list[str]) -> bool:
+    return parts[0] == "p" and len(parts) >= 2
+
+
+def has_header(text: str) -> bool:
+    """True if the first data line of `text` is a `p <kind> ...` header."""
+    return next((_is_header(parts) for _, parts in _data_lines(text)), False)
+
+
 def parse_instance(text: str):
     """Dispatch on the header: returns a WeightedGraph or a ShapeSet."""
     for ln, parts in _data_lines(text):
-        if parts[0] != "p" or len(parts) < 2:
+        if not _is_header(parts):
             raise MissingHeader("expected a `p ...` header first", ln)
         if parts[1] == "graph":
             return parse_graph(text)

@@ -173,6 +173,15 @@ def local_search_is(g: WeightedGraph, t: int, seed: int = 0) -> VertexSet:
     I, and applies the first such X in lexicographic order over sorted
     candidate tuples. Intended for unweighted instances; on non-uniform
     weights it warns and optimizes cardinality.
+
+    Whether any improving swap is left is decided first, on connected swaps
+    only (:func:`_has_connected_swap`): split X and its conflicts
+    N(X) & I into connected pieces; |X| > |N(X) & I| sums over the pieces,
+    so some piece alone improves. The lexicographic search runs only when
+    that check finds a swap, and it still picks the swap. So the final
+    pass, which proves that none is left, costs only the connected sets of
+    at most t vertices with fewer than t conflicts, not every independent
+    t-set; a pass that applies a swap costs what it did.
     """
     check_swap_size(t)
     if len(set(g.weights)) > 1:
@@ -184,16 +193,46 @@ def local_search_is(g: WeightedGraph, t: int, seed: int = 0) -> VertexSet:
     random.Random(seed).shuffle(perm)
     current = set(_greedy_is_ordered(g, tuple(perm)).members)
     adj = g.adjacency
-    while True:
+    while _has_connected_swap(adj, current, t):
         swap = _find_improving_swap(g.n, adj, current, t)
-        if swap is None:
-            break
         evicted = set()
         for v in swap:
             evicted |= adj[v] & current
         current -= evicted
         current |= set(swap)
     return vertex_set(g, current)
+
+
+def _has_connected_swap(adj: tuple[frozenset[int], ...], current: set[int], t: int) -> bool:
+    """True iff some improving swap of at most `t` vertices exists.
+
+    Only connected swaps are grown, each from its smallest vertex s: a step
+    adds one outside vertex larger than s that shares a conflict with the
+    set and is independent of it. A set with >= t conflicts is dropped, as
+    no superset of it can improve within t vertices. No record of sets
+    already seen is kept: a set is reached once per connected order in
+    which it can be grown from s, which at small t is a few times at most.
+    """
+    conflicts = {v: adj[v] & current for v in range(len(adj)) if v not in current}
+    for s, cs in conflicts.items():
+        if len(cs) >= t:
+            continue
+        if not cs:
+            return True
+        stack = [(frozenset((s,)), cs)]
+        while stack:
+            xs, cx = stack.pop()
+            for u in frozenset().union(*(adj[c] for c in cx)):
+                if u <= s or u in xs or not adj[u].isdisjoint(xs):
+                    continue
+                cy = cx | conflicts[u]
+                if len(cy) >= t:
+                    continue
+                ys = xs | {u}
+                if len(ys) > len(cy):
+                    return True
+                stack.append((ys, cy))
+    return False
 
 
 def _find_improving_swap(

@@ -260,6 +260,38 @@ def test_bad_parameter_exits_2(tmp_path, capsys, argv, message):
     assert message in err
 
 
+def test_bench_eps_zero_follows_the_solve_rule(tmp_path, capsys):
+    inst = _write(tmp_path, "c5.graph", C5)
+    # only a missing --eps defaults the heuristic rows (to 0.5)
+    for argv in (["bench", inst, "--oracles", "greedy", "--eps", "0"],
+                 ["solve", inst, "--oracle", "greedy", "--eps", "0"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "eps=0 requires the exact oracle" in err
+    assert main(["bench", inst, "--oracles", "exact", "--eps", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_bench_dir_skips_files_without_header(tmp_path, capsys):
+    inst = _write(tmp_path, "c5.graph", C5)
+    assert main(["solve", inst, "-o", str(tmp_path / "c5.json")]) == 0
+    (tmp_path / "notes.bin").write_bytes(b"\xff\xfe p graph")
+    _write(tmp_path, "star.graph", "c a comment line first\n" + STAR)
+    assert main(["bench", str(tmp_path), "--oracles", "greedy"]) == 0
+    out, err = capsys.readouterr()
+    assert [r.split()[0] for r in out.splitlines()[1:]] == ["c5.graph", "star.graph"]
+    assert err.count("skipping") == 2
+    assert "c5.json: no `p` header" in err and "notes.bin: no `p` header" in err
+    # a file named explicitly, or a headed file with a bad body, still exits 2
+    assert main(["bench", str(tmp_path / "c5.json"), "--oracles", "greedy"]) == 2
+    assert "expected a `p ...` header first" in capsys.readouterr().err
+    _write(tmp_path, "bad.graph", "p graph 2 2\nv 1 1\nv 2 1\ne 1 2\n")
+    assert main(["bench", str(tmp_path), "--oracles", "greedy"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "line 4" in err
+
+
 def test_bench_match_ratio_uses_first_completed_row(tmp_path, capsys):
     inst = _write(tmp_path, "c5.graph", C5)
     # C5's LP bound is 5/2 and its greedy matching takes 4 vertices.

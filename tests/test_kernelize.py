@@ -10,13 +10,13 @@ from crowncover import (
     build_graph,
     half_integral_solution,
     is_independent_set,
-    kernel_density_check,
     kernelize,
     lift,
     partition,
     vertex_set,
 )
 from crowncover.halfint import HalfIntegralSolution
+from crowncover.kernelize import kernel_density_check
 
 from conftest import brute_min_vc_weight, graph_family
 

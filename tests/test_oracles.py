@@ -25,7 +25,11 @@ from crowncover import (
     random_gnp_graph,
     vertex_set,
 )
-from crowncover.oracles import _greedy_is_ordered
+from crowncover.oracles import (
+    _find_improving_swap,
+    _greedy_is_ordered,
+    _has_connected_swap,
+)
 
 from conftest import brute_max_is_weight, graph_family, has_improving_swap
 
@@ -225,6 +229,67 @@ def test_local_search_quality_monotone_in_t():
     for g in graph_family(40, 10, 1, seed0=52):
         sizes = [len(local_search_is(g, t, seed=0)) for t in (1, 2, 3)]
         assert sizes == sorted(sizes)
+
+
+def _random_maximal_is(g, seed):
+    order = list(range(g.n))
+    random.Random(seed).shuffle(order)
+    chosen = set()
+    for v in order:
+        if not g.adjacency[v] & chosen:
+            chosen.add(v)
+    return chosen
+
+
+def _assert_swap_checks_agree(g, current, t):
+    adj = g.adjacency
+    found = _has_connected_swap(adj, current, t)
+    assert found == (_find_improving_swap(g.n, adj, current, t) is not None)
+    assert found == has_improving_swap(g, current, t)
+    return found
+
+
+def test_connected_swap_check_matches_lexicographic_search():
+    graphs = [random_gnp_graph(n, p, seed=n) for n in range(2, 24, 3) for p in (0.1, 0.3, 0.6)]
+    graphs += [
+        intersection_graph(generate_instance("disks", 30, seed=seed, region=12))[0]
+        for seed in range(4)
+    ]
+    outcomes = set()
+    for i, g in enumerate(graphs):
+        starts = [set(greedy_is(g).members)]
+        starts += [_random_maximal_is(g, 100 * i + k) for k in range(3)]
+        # a non-maximal start: some outside vertex has no conflict at all
+        starts.append(set(sorted(starts[-1])[1:]))
+        for current in starts:
+            for t in (1, 2, 3, 4):
+                outcomes.add(_assert_swap_checks_agree(g, current, t))
+    assert outcomes == {True, False}
+
+
+def test_connected_swap_grown_out_of_vertex_order():
+    # Outside 0 and 1 share no conflict; the improving swap {0, 1, 2} (two
+    # conflicts, 3 and 4) is connected only through 2, so it grows 0, 2, 1.
+    g = build_graph(5, (1,) * 5, [(0, 3), (2, 3), (2, 4), (1, 4)])
+    assert _assert_swap_checks_agree(g, {3, 4}, 3)
+    assert not _assert_swap_checks_agree(g, {3, 4}, 2)
+
+
+def test_connected_swap_found_when_first_swap_is_disconnected():
+    # Outside vertices a=0 < b=1 < d=2, solution {c1=3, c2=4}; edges a-c1,
+    # b-c2, d-c2. The first improving swap (a, b, d) splits into {a | c1}
+    # and {b, d | c2}; only the second piece improves, and it is connected.
+    g = build_graph(5, (1, 1, 1, 10, 10), [(0, 3), (1, 4), (2, 4)])
+    start = {3, 4}
+    assert greedy_is(g).as_set == start  # the heavy pair is greedy's start
+    assert _find_improving_swap(g.n, g.adjacency, start, 3) == (0, 1, 2)
+    assert _has_connected_swap(g.adjacency, start, 3)
+    # {b, d} alone is the improving swap that fits in t=2
+    assert _find_improving_swap(g.n, g.adjacency, start, 2) == (1, 2)
+    assert _has_connected_swap(g.adjacency, start, 2)
+    with pytest.warns(UserWarning):
+        # (0, 1, 2) is applied; applying (1, 2) would end at (1, 2, 3)
+        assert local_search_is(g, 3, seed=0).members == (0, 1, 2)
 
 
 @pytest.mark.parametrize(
