@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .approx import approx_vc, matching_2approx_vc, verify_result
-from .errors import CrownCoverError, InvalidParameter, TooLarge
+from .errors import CrownCoverError, InvalidParameter, ParseError, TooLarge
 from .geometry import ShapeSet, generate_instance, intersection_graph
 from .graph import WeightedGraph, random_gnp_graph
 from .ioformats import (
@@ -45,9 +45,16 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_graph(path: str) -> tuple[WeightedGraph, bool]:
     """Read an instance file; True if it held shapes, now their intersection graph."""
-    return _graph_of(Path(path).read_text(encoding="utf-8"))
+    return _graph_of(_read_text(path))
 
 
 def _graph_of(text: str) -> tuple[WeightedGraph, bool]:
@@ -136,7 +143,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.input)
-    doc = parse_result(Path(args.result).read_text(encoding="utf-8"))
+    doc = parse_result(_read_text(args.result))
     res = result_from_doc(doc, g)
     report = verify_result(g, res, cap=args.cap)
     out = []

@@ -4,7 +4,11 @@ Coordinates are exact rationals. Edge tests compare the squared form
 (disks) or interval endpoints (rects) with no floating point anywhere, so
 tangency is bit-stable: touching shapes intersect (closed model). The pair
 tests run on coordinates scaled to a common integer grid: int64 arrays when
-the scaled magnitudes are small enough, exact Python ints otherwise.
+the scaled magnitudes are small enough, exact Python ints otherwise. The
+pairs come from the grid-bucket scan in `_kernels`, which tests only shapes
+in the same or neighbouring cells (plus a short list of oversized shapes
+against all), in O(n log n + candidates) time: O(n + m) at bounded density,
+O(n^2) only when the shapes really crowd a few cells.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from ._kernels import disk_pairs, rect_pairs
 from .errors import InvalidParameter, InvalidSet, InvalidShape, InvalidWeight
-from .graph import WeightedGraph, build_graph
+from .graph import _trusted_graph
 
 # Scaled coordinates above this magnitude could overflow int64 in the
 # squared-distance test (8 * M^2 must stay below 2^63).
@@ -126,11 +130,8 @@ def _scaled_columns(columns: Sequence[Sequence[Fraction]]) -> list[np.ndarray]:
     The columns are int64 when every scaled magnitude is within _INT_GUARD,
     otherwise numpy object arrays of exact Python ints.
     """
-    denom = 1
-    for col in columns:
-        for q in col:
-            denom = denom * q.denominator // math.gcd(denom, q.denominator)
-    scaled = [[int(q * denom) for q in col] for col in columns]
+    denom = math.lcm(*{q.denominator for col in columns for q in col})
+    scaled = [[q.numerator * (denom // q.denominator) for q in col] for col in columns]
     biggest = max((abs(x) for col in scaled for x in col), default=0)
     dtype = np.int64 if biggest <= _INT_GUARD else object
     return [np.asarray(col, dtype=dtype) for col in scaled]
@@ -148,7 +149,8 @@ def intersection_graph(s: ShapeSet):
         pairs, fields = rect_pairs, ("x1", "y1", "x2", "y2")
     us, vs = pairs(*_scaled_columns([[getattr(sh, f) for sh in s.shapes] for f in fields]))
     n = len(s.shapes)
-    return build_graph(n, s.weights, list(zip(us.tolist(), vs.tolist()))), tuple(range(n))
+    # The scan's pairs are unique, in range and row-major already.
+    return _trusted_graph(n, s.weights, tuple(zip(us.tolist(), vs.tolist()))), tuple(range(n))
 
 
 def generate_instance(

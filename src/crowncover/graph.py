@@ -87,12 +87,7 @@ def build_graph(n: int, weights: Iterable[int], edges: Iterable[Edge]) -> Weight
     Parallel edges are silently deduplicated. Self-loops and out-of-range
     endpoints raise InvalidEdge; non-positive weights raise InvalidWeight.
     """
-    ws = tuple(weights)
-    if len(ws) != n:
-        raise InvalidWeight(f"expected {n} weights, got {len(ws)}")
-    for v, w in enumerate(ws):
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-            raise InvalidWeight(f"vertex {v}: weight must be a positive integer, got {w!r}")
+    ws = _checked_weights(n, weights)
     seen: set[Edge] = set()
     for u, v in edges:
         if u == v:
@@ -101,6 +96,22 @@ def build_graph(n: int, weights: Iterable[int], edges: Iterable[Edge]) -> Weight
             raise InvalidEdge(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         seen.add((u, v) if u < v else (v, u))
     return WeightedGraph(n=n, weights=ws, edges=tuple(sorted(seen)))
+
+
+def _trusted_graph(n: int, weights: Iterable[int], edges: tuple[Edge, ...]) -> WeightedGraph:
+    """A graph from edges that are already normalized: u < v, in range,
+    unique and sorted. Only the weights are checked, as in build_graph."""
+    return WeightedGraph(n=n, weights=_checked_weights(n, weights), edges=edges)
+
+
+def _checked_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
+    ws = tuple(weights)
+    if len(ws) != n:
+        raise InvalidWeight(f"expected {n} weights, got {len(ws)}")
+    for v, w in enumerate(ws):
+        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+            raise InvalidWeight(f"vertex {v}: weight must be a positive integer, got {w!r}")
+    return ws
 
 
 def vertex_set(g: WeightedGraph, members: Iterable[int]) -> VertexSet:
@@ -128,12 +139,14 @@ def induced_subgraph(g: WeightedGraph, s) -> tuple[WeightedGraph, tuple[int, ...
     if members and (members[0] < 0 or members[-1] >= g.n):
         raise InvalidSet("set members outside the graph's vertex range")
     index = {orig: new for new, orig in enumerate(members)}
-    sub_edges = [
+    # members is sorted, so the renumbering is monotone and keeps g's edges
+    # normalized.
+    sub_edges = tuple(
         (index[u], index[v])
         for u, v in g.edges
         if u in index and v in index
-    ]
-    sub = build_graph(len(members), (g.weights[v] for v in members), sub_edges)
+    )
+    sub = _trusted_graph(len(members), (g.weights[v] for v in members), sub_edges)
     return sub, members
 
 

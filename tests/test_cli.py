@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, output channels, document shapes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -314,3 +317,37 @@ def test_cap_flag_and_env_follow_one_rule(tmp_path, capsys, monkeypatch, cap, co
     monkeypatch.setenv("CROWNCOVER_BRUTE_CAP", cap)
     assert main(["solve", path, "--oracle", "exact"]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{bad}"],
+    ["kernelize", "{bad}"],
+    ["verify", "{bad}", "{good}"],
+    ["verify", "{good}", "{bad}"],
+    ["bench", "{bad}", "--oracles", "greedy"],
+])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfep graph 1 0\nv 1 1\n")
+    good = _write(tmp_path, "c5.graph", C5)
+    argv = [a.format(bad=bad, good=good) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{bad} is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_no_heavy_import_at_start_or_first_scan():
+    # Each would add a large import to every command: scipy or networkx at
+    # start-up, numpy.ma (pulled in by np.unique) on the first pair scan.
+    code = (
+        "import crowncover, sys\n"
+        "for kind in ('disks', 'rects'):\n"
+        "    crowncover.intersection_graph(crowncover.generate_instance(kind, 50))\n"
+        "print(sorted({'scipy', 'networkx', 'numpy.ma'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

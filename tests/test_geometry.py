@@ -8,6 +8,7 @@ from crowncover import (
     Disk,
     InvalidParameter,
     InvalidShape,
+    InvalidWeight,
     ShapeSet,
     build_shape_set,
     disk,
@@ -152,6 +153,12 @@ def test_restrict_commutes_with_induce(kind):
         sub, _ = induced_subgraph(g, subset)
         gr, _ = intersection_graph(restrict_shapes(s, subset, smap))
         assert gr == sub
+
+
+def test_intersection_graph_still_checks_weights():
+    s = ShapeSet(kind="disks", shapes=(disk(0, 0, 1), disk(1, 0, 1)), weights=(1, 0))
+    with pytest.raises(InvalidWeight):
+        intersection_graph(s)
 
 
 def test_weighted_shapes_carry_weights_into_graph():

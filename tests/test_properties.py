@@ -11,6 +11,7 @@ from crowncover import (
     complement_set,
     epsilon_to_swap_size,
     half_integral_solution,
+    induced_subgraph,
     is_independent_set,
     is_vertex_cover,
     kernelize,
@@ -61,6 +62,19 @@ def test_matching_cover_covers(g):
     c = matching_2approx_vc(g)
     assert is_vertex_cover(g, c)
     assert is_independent_set(g, complement_set(g, c))
+
+
+@given(st.data())
+def test_induced_subgraph_equals_build_graph(data):
+    g = data.draw(graphs(n_max=12))
+    members = sorted(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)))
+    index = {v: i for i, v in enumerate(members)}
+    # Reversed and flipped, for build_graph to normalize.
+    sub_edges = [(index[v], index[u]) for u, v in reversed(g.edges)
+                 if u in index and v in index]
+    sub, back = induced_subgraph(g, members)
+    assert back == tuple(members)
+    assert sub == build_graph(len(members), [g.weights[v] for v in members], sub_edges)
 
 
 @given(graphs())
